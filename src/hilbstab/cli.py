@@ -25,6 +25,7 @@ from .errors import (
 from .equivalence import (
     ClassPartition,
     ConicPipelineResult,
+    IndexResult,
     brauer_severi_classes,
     conic_pipeline,
     index,
@@ -283,15 +284,8 @@ def _surface_text(target) -> list[str]:
     return head
 
 
-def _combo_str(combination) -> str:
-    parts: list[str] = []
-    for coeff, degree in combination:
-        term = f"{abs(coeff)}*{degree}"
-        if not parts:
-            parts.append(term if coeff > 0 else f"-{term}")
-        else:
-            parts.append(f"{'+' if coeff > 0 else '-'} {term}")
-    return " ".join(parts)
+def _index_json(idx: IndexResult) -> dict:
+    return {"g": idx.g, "combination": [list(t) for t in idx.combination]}
 
 
 # ---------------------------------------------------------------- commands
@@ -403,16 +397,15 @@ def _partition_for(spec: ParsedSpec, e_min: int, horizon: int, d_prime: int | No
     target = spec.target
     if isinstance(target, BrauerSeveriData):
         part = brauer_severi_classes(target.ind, horizon)
-        idx = {"g": target.ind, "combination": [[1, target.ind]]}
+        idx = IndexResult(g=target.ind, combination=((1, target.ind),))
         return part, {"pipeline": "brauer_severi", "index": idx}
     if isinstance(target, ConicBundleData):
         result: ConicPipelineResult = conic_pipeline(
             target, None, e_min=e_min, horizon=horizon
         )
-        idx_res = index(target.point_degrees)
         return result.partition, {
             "pipeline": "conic",
-            "index": {"g": idx_res.g, "combination": [list(t) for t in idx_res.combination]},
+            "index": index(target.point_degrees),
             "starts": {str(k): v for k, v in sorted(result.start_by_degree.items())},
             "twist_floors": {
                 str(k): v for k, v in sorted(result.twist_floor_by_degree.items())
@@ -422,11 +415,7 @@ def _partition_for(spec: ParsedSpec, e_min: int, horizon: int, d_prime: int | No
     if d_eff is None and spec.blowup_cycles:
         d_eff = spec.blowup_cycles[0]
     part = interval_class_partition(target, e_min=e_min, horizon=horizon, d_prime=d_eff)
-    idx_res = index(target.surface.point_degrees)
-    return part, {
-        "pipeline": "interval",
-        "index": {"g": idx_res.g, "combination": [list(t) for t in idx_res.combination]},
-    }
+    return part, {"pipeline": "interval", "index": index(target.surface.point_degrees)}
 
 
 def _partition_payload(part: ClassPartition, extras: dict) -> dict:
@@ -439,13 +428,13 @@ def _partition_payload(part: ClassPartition, extras: dict) -> dict:
         "eventual_labels": list(part.eventual_labels()),
         "label_runs": [list(run) for run in part.label_runs()],
         **extras,
+        "index": _index_json(extras["index"]),
     }
 
 
 def _partition_text(part: ClassPartition, extras: dict, assume: bool) -> list[str]:
     lines = [f"pipeline: {extras['pipeline']}"]
-    idx = extras["index"]
-    lines.append(f"index: {idx['g']} = {_combo_str(idx['combination'])}")
+    lines.append(f"index: {extras['index']}")
     if "starts" in extras:
         starts = " ".join(f"d={k}:{v}" for k, v in extras["starts"].items())
         lines.append(f"stitched from: {starts}")
@@ -474,11 +463,10 @@ def _partition_text(part: ClassPartition, extras: dict, assume: bool) -> list[st
 def _cmd_classes(args) -> int:
     spec = load_spec(args.spec)
     part, extras = _partition_for(spec, args.e_min, args.horizon, args.d_prime)
-    payload = {"command": "classes", "surface": _surface_json(spec.target),
-               "assume_asymptotic": args.assume_asymptotic,
-               **_partition_payload(part, extras)}
     if args.format == "machine":
-        _emit_machine(payload)
+        _emit_machine({"command": "classes", "surface": _surface_json(spec.target),
+                       "assume_asymptotic": args.assume_asymptotic,
+                       **_partition_payload(part, extras)})
     else:
         lines = _surface_text(spec.target)
         lines += _partition_text(part, extras, args.assume_asymptotic)
@@ -589,10 +577,7 @@ def _cmd_check(args) -> int:
         polarized = target.polarized() if isinstance(target, ConicBundleData) else target
         degrees = polarized.surface.point_degrees
         idx = index(degrees)
-        payload["index"] = {
-            "g": idx.g,
-            "combination": [list(t) for t in idx.combination],
-        }
+        payload["index"] = _index_json(idx)
         lines.append(f"index: {idx}")
         payload["infinitely_nonempty"] = {
             str(d): infinitely_nonempty(polarized, d) for d in degrees

@@ -10,7 +10,8 @@ all that stable birationality can see.
 
 The series layer detects eventual periodicity of labeled coefficients
 and certifies a closed rational form head + t^n0 * tail / (1 - t^p) by
-exact polynomial multiplication, never by trusting the search.
+checking the exact coefficientwise identity, never by trusting the
+search.
 
 Everything here is exact; in positive characteristic the mod-L
 interpretation is not available (the comparison uses weak
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import HorizonError, PeriodicityError, ValidationError
-from .equivalence import ClassPartition
+from .equivalence import ClassPartition, _stabilization_point
 
 __all__ = [
     "ClassPoly",
@@ -362,10 +363,12 @@ def zeta_series(
         raise HorizonError(
             "partition is not certified; pass allow_uncertified=True to proceed anyway"
         )
-    coeffs = [ClassPoly.one()]
-    for n in range(1, horizon + 1):
-        coeffs.append(ClassPoly.symbol(f"c{classes.labels[n]}"))
-    return LabeledSeries(coefficients=tuple(coeffs))
+    labels = classes.labels[1 : horizon + 1]
+    # ClassPoly is immutable, so every term with one label shares one symbol
+    symbols = {lab: ClassPoly.symbol(f"c{lab}") for lab in set(labels)}
+    return LabeledSeries(
+        coefficients=(ClassPoly.one(), *map(symbols.__getitem__, labels))
+    )
 
 
 def rationalize(series: LabeledSeries) -> RationalSeries:
@@ -378,13 +381,16 @@ def rationalize(series: LabeledSeries) -> RationalSeries:
     """
     coeffs = series.coefficients
     horizon = series.horizon
+    # one small integer per distinct coefficient value: each distinct object
+    # is hashed once, and equal polynomials that are distinct objects still
+    # share a key
+    distinct = dict(zip(map(id, coeffs), coeffs))
+    keys: dict[ClassPoly, int] = {}
+    key_of = {i: keys.setdefault(poly, len(keys)) for i, poly in distinct.items()}
+    labels = list(map(key_of.__getitem__, map(id, coeffs)))
     best: tuple[int, int, int] | None = None  # (shortfall, period, n0)
     for p in range(1, max(horizon, 1) + 1):
-        n0 = 0
-        for n in range(horizon - p, -1, -1):
-            if coeffs[n] != coeffs[n + p]:
-                n0 = n + 1
-                break
+        n0 = _stabilization_point(labels, p, horizon)
         if horizon >= n0 + 2 * p:
             return RationalSeries(head=coeffs[:n0], tail=coeffs[n0 : n0 + p])
         shortfall = n0 + 2 * p - horizon
@@ -405,8 +411,11 @@ def verify_rational(
 ) -> bool:
     """Certificate check: head*(1 - t^p) + t^n0*tail == series*(1 - t^p).
 
-    Both sides are expanded to the requested order by exact polynomial
-    arithmetic and compared coefficientwise; no periodicity is assumed.
+    Both sides are compared coefficientwise up to the requested order;
+    no periodicity is assumed. Below t^(n0+p) the coefficients are
+    expanded by exact polynomial arithmetic. From t^(n0+p) on no head or
+    tail term reaches t^n, so the identity reads 0 = c[n] - c[n-p],
+    which holds exactly when c[n] == c[n-p].
     """
     if order > series.horizon:
         raise HorizonError(
@@ -415,7 +424,8 @@ def verify_rational(
     p = rational.period
     n0 = rational.n0
     coeffs = series.coefficients
-    for n in range(order + 1):
+    periodic_from = n0 + p
+    for n in range(min(order + 1, periodic_from)):
         lhs = ClassPoly.zero()
         if n < n0:
             lhs = lhs + rational.head[n]
@@ -428,4 +438,6 @@ def verify_rational(
             rhs = rhs - coeffs[n - p]
         if lhs != rhs:
             return False
-    return True
+    return periodic_from > order or (
+        coeffs[periodic_from : order + 1] == coeffs[n0 : order + 1 - p]
+    )

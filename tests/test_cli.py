@@ -1,8 +1,14 @@
 """End-to-end command tests: golden outputs, exit codes, spec validation."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import hilbstab
 
 from hilbstab import (
     BrauerSeveriData,
@@ -458,3 +464,19 @@ class TestUsageErrors:
         doc["line_bundle"]["c1_dot_K"] = -2
         assert main(["classes", spec(doc)]) == 1
         assert "even" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = str(Path(hilbstab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hilbstab", "goettsche", "--n-max", "2"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert main(["goettsche", "--n-max", "2"]) == 0
+    assert proc.stdout == capsys.readouterr().out

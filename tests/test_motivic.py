@@ -252,6 +252,144 @@ class TestRationalize:
         assert verify_rational(rat, series, series.horizon)
 
 
+def oracle_rationalize(series: LabeledSeries) -> RationalSeries:
+    """The first rationalize: backward scans comparing ClassPoly values directly."""
+    coeffs = series.coefficients
+    horizon = series.horizon
+    best = None
+    for p in range(1, max(horizon, 1) + 1):
+        n0 = 0
+        for n in range(horizon - p, -1, -1):
+            if coeffs[n] != coeffs[n + p]:
+                n0 = n + 1
+                break
+        if horizon >= n0 + 2 * p:
+            return RationalSeries(head=coeffs[:n0], tail=coeffs[n0 : n0 + p])
+        shortfall = n0 + 2 * p - horizon
+        if best is None or (shortfall, p) < (best[0], best[1]):
+            best = (shortfall, p, n0)
+    raise PeriodicityError(
+        f"no certified periodic tail within horizon {horizon}; best candidate "
+        f"period {best[1]} stabilizing at {best[2]} would need horizon >= "
+        f"{best[2] + 2 * best[1]}",
+        n0=best[2],
+        period=best[1],
+    )
+
+
+def oracle_verify(rational: RationalSeries, series: LabeledSeries, order: int) -> bool:
+    """The first verify_rational: every coefficient expanded by ClassPoly arithmetic."""
+    p = rational.period
+    n0 = rational.n0
+    coeffs = series.coefficients
+    for n in range(order + 1):
+        lhs = ClassPoly.zero()
+        if n < n0:
+            lhs = lhs + rational.head[n]
+        if n >= p and n - p < n0:
+            lhs = lhs - rational.head[n - p]
+        if n0 <= n < n0 + p:
+            lhs = lhs + rational.tail[n - n0]
+        rhs = coeffs[n]
+        if n >= p:
+            rhs = rhs - coeffs[n - p]
+        if lhs != rhs:
+            return False
+    return True
+
+
+_POOL = (
+    ClassPoly.one(),
+    ClassPoly.zero(),
+    ClassPoly.symbol("c1"),
+    ClassPoly.symbol("c2"),
+    ClassPoly.symbol("c3"),
+    ClassPoly.symbol("c1") + ClassPoly.symbol("L"),
+    2 * ClassPoly.symbol("x") - ClassPoly.symbol("s2"),
+)
+
+
+def _copy(poly: ClassPoly) -> ClassPoly:
+    """An equal ClassPoly that is a distinct object."""
+    return ClassPoly(dict(poly.items()))
+
+
+@st.composite
+def coefficient_lists(draw, min_size=0, max_size=4):
+    picks = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(_POOL) - 1), st.booleans()),
+            min_size=min_size,
+            max_size=max_size,
+        )
+    )
+    return [_copy(_POOL[i]) if fresh else _POOL[i] for i, fresh in picks]
+
+
+@st.composite
+def labeled_series(draw):
+    if draw(st.booleans()):
+        body = draw(coefficient_lists(max_size=24))
+    else:
+        head = draw(coefficient_lists())
+        tail = draw(coefficient_lists(min_size=1))
+        body = head + tail * draw(st.integers(min_value=2, max_value=5))
+        fresh = draw(st.lists(st.booleans(), min_size=len(body), max_size=len(body)))
+        body = [_copy(c) if f else c for c, f in zip(body, fresh)]
+    return LabeledSeries((ClassPoly.one(), *body))
+
+
+class TestSeriesOracle:
+    """rationalize and verify_rational against the full ClassPoly expansion."""
+
+    @given(series=labeled_series(), data=st.data())
+    def test_matches_full_expansion(self, series, data):
+        try:
+            expected = oracle_rationalize(series)
+        except PeriodicityError as exc:
+            with pytest.raises(PeriodicityError) as got:
+                rationalize(series)
+            assert (str(got.value), got.value.n0, got.value.period) == (
+                str(exc),
+                exc.n0,
+                exc.period,
+            )
+            forms = []
+        else:
+            rat = rationalize(series)
+            assert (rat.head, rat.tail) == (expected.head, expected.tail)
+            wrong = data.draw(st.sampled_from(_POOL))
+            forms = [expected]
+            if expected.head:
+                i = data.draw(st.integers(0, expected.n0 - 1))
+                head = expected.head[:i] + (wrong,) + expected.head[i + 1 :]
+                forms.append(RationalSeries(head=head, tail=expected.tail))
+            i = data.draw(st.integers(0, expected.period - 1))
+            tail = expected.tail[:i] + (wrong,) + expected.tail[i + 1 :]
+            forms.append(RationalSeries(head=expected.head, tail=tail))
+        forms.append(
+            RationalSeries(
+                head=tuple(data.draw(coefficient_lists())),
+                tail=tuple(data.draw(coefficient_lists(min_size=1))),
+            )
+        )
+        for form in forms:
+            order = data.draw(st.integers(0, series.horizon))
+            for n in (order, series.horizon):
+                assert verify_rational(form, series, n) == oracle_verify(form, series, n)
+
+    def test_equal_coefficients_need_not_be_identical(self):
+        c1 = ClassPoly.symbol("c1") + ClassPoly.symbol("L")
+        series = LabeledSeries((ClassPoly.one(), *(_copy(c1) for _ in range(6))))
+        rat = rationalize(series)
+        assert (rat.n0, rat.period) == (1, 1)
+        assert verify_rational(rat, series, 6)
+        # a tail that differs from the series only past n0 + p is still caught
+        broken = LabeledSeries(series.coefficients[:-1] + (ClassPoly.symbol("c1"),))
+        assert not verify_rational(rat, broken, 6)
+        assert verify_rational(rat, broken, 5)
+
+
 class TestVerifyRational:
     def test_detects_wrong_tail(self):
         part = brauer_severi_classes(3, horizon=20)
