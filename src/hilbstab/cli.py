@@ -397,8 +397,7 @@ def _partition_for(spec: ParsedSpec, e_min: int, horizon: int, d_prime: int | No
     target = spec.target
     if isinstance(target, BrauerSeveriData):
         part = brauer_severi_classes(target.ind, horizon)
-        idx = IndexResult(g=target.ind, combination=((1, target.ind),))
-        return part, {"pipeline": "brauer_severi", "index": idx}
+        return part, {"pipeline": "brauer_severi", "index": index((target.ind,))}
     if isinstance(target, ConicBundleData):
         result: ConicPipelineResult = conic_pipeline(
             target, None, e_min=e_min, horizon=horizon
@@ -571,7 +570,7 @@ def _cmd_check(args) -> int:
         lines.append("kodaira guard: pass")
 
     if isinstance(target, BrauerSeveriData):
-        payload["index"] = {"g": target.ind, "combination": [[1, target.ind]]}
+        payload["index"] = _index_json(index((target.ind,)))
         lines.append(f"index: {target.ind}")
     else:
         polarized = target.polarized() if isinstance(target, ConicBundleData) else target

@@ -381,8 +381,9 @@ def rationalize(series: LabeledSeries) -> RationalSeries:
     """
     coeffs = series.coefficients
     horizon = series.horizon
-    # one small integer per distinct coefficient value: each distinct object
-    # is hashed once, and equal polynomials that are distinct objects still
+    # one small integer per distinct coefficient value, so the scans below
+    # compare ints rather than ClassPoly objects; each distinct object is
+    # hashed once, and equal polynomials that are distinct objects still
     # share a key
     distinct = dict(zip(map(id, coeffs), coeffs))
     keys: dict[ClassPoly, int] = {}
@@ -411,33 +412,16 @@ def verify_rational(
 ) -> bool:
     """Certificate check: head*(1 - t^p) + t^n0*tail == series*(1 - t^p).
 
-    Both sides are compared coefficientwise up to the requested order;
-    no periodicity is assumed. Below t^(n0+p) the coefficients are
-    expanded by exact polynomial arithmetic. From t^(n0+p) on no head or
-    tail term reaches t^n, so the identity reads 0 = c[n] - c[n-p],
-    which holds exactly when c[n] == c[n-p].
+    The identity is checked up to the requested order, independently of
+    the period search. Since 1 - t^p is a unit in the power-series ring,
+    it holds mod t^(order+1) exactly when the series equals the expansion
+    of the closed form up to that order, so both are compared term by
+    term; no periodicity is assumed.
     """
     if order > series.horizon:
         raise HorizonError(
             f"verification order {order} exceeds the series horizon {series.horizon}"
         )
-    p = rational.period
-    n0 = rational.n0
-    coeffs = series.coefficients
-    periodic_from = n0 + p
-    for n in range(min(order + 1, periodic_from)):
-        lhs = ClassPoly.zero()
-        if n < n0:
-            lhs = lhs + rational.head[n]
-        if n >= p and n - p < n0:
-            lhs = lhs - rational.head[n - p]
-        if n0 <= n < n0 + p:
-            lhs = lhs + rational.tail[n - n0]
-        rhs = coeffs[n]
-        if n >= p:
-            rhs = rhs - coeffs[n - p]
-        if lhs != rhs:
-            return False
-    return periodic_from > order or (
-        coeffs[periodic_from : order + 1] == coeffs[n0 : order + 1 - p]
-    )
+    periods = (order + 1) // rational.period + 1
+    expected = tuple(rational.head) + tuple(rational.tail) * periods
+    return tuple(series.coefficients[: order + 1]) == expected[: order + 1]

@@ -384,7 +384,7 @@ class TestSeriesOracle:
         rat = rationalize(series)
         assert (rat.n0, rat.period) == (1, 1)
         assert verify_rational(rat, series, 6)
-        # a tail that differs from the series only past n0 + p is still caught
+        # a series that leaves the period only at its last term is still caught
         broken = LabeledSeries(series.coefficients[:-1] + (ClassPoly.symbol("c1"),))
         assert not verify_rational(rat, broken, 6)
         assert verify_rational(rat, broken, 5)
