@@ -446,12 +446,11 @@ def _partition_text(part: ClassPartition, extras: dict, assume: bool) -> list[st
         "eventual classes: "
         + " ".join(str(lab) for lab in part.eventual_labels())
     )
-    runs = part.label_runs()
-    shown = runs[:12]
+    runs = part.label_runs(12)
     run_text = " ".join(
-        (f"{a}" if a == b else f"{a}-{b}") + f"->{lab}" for a, b, lab in shown
+        (f"{a}" if a == b else f"{a}-{b}") + f"->{lab}" for a, b, lab in runs
     )
-    if len(runs) > len(shown):
+    if runs[-1][1] < part.horizon:
         run_text += " ..."
     lines.append(f"label runs: {run_text}")
     if part.conditional and not assume:

@@ -5,10 +5,12 @@ Hilb^(n+d) are stably birational (for bundle powers past the threshold).
 Closing these relations up to a horizon N partitions {0,...,N}; the
 partition is eventually periodic and the period is constrained by the
 index of the surface (gcd of its closed-point degrees). This module
-does the closure with a union-find, extracts the (n0, period)
-certificate honestly (certified only when the window is long enough to
-actually exhibit two full periods), and wires up the per-surface-type
-pipelines.
+does the closure: relation domains of one step are coalesced into
+disjoint runs, so each point takes at most one union per distinct step,
+and an array union-find whose roots are least members turns them into
+labels. It extracts the (n0, period) certificate honestly (certified
+only when the window is long enough to actually exhibit two full
+periods), and wires up the per-surface-type pipelines.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .intervals import (
     conic_interval,
     conic_twist_bound,
     equivalence_interval,
+    merge_intervals,
 )
 from .surfaces import BrauerSeveriData, ConicBundleData, PolarizedSurface, catalog
 
@@ -87,12 +90,19 @@ class ClassPartition:
                 "certified partition needs horizon >= n0 + 2*period", path="certified"
             )
 
-    def label_runs(self) -> list[tuple[int, int, int]]:
-        """Compress labels into maximal runs (start, end, label)."""
+    def label_runs(self, limit: int | None = None) -> list[tuple[int, int, int]]:
+        """Compress labels into maximal runs (start, end, label).
+
+        With a limit only the first limit runs are built: the scan stops
+        where the next run starts, so every returned run is complete, and
+        more runs follow exactly when the last one ends before the horizon.
+        """
         runs: list[tuple[int, int, int]] = []
         for n, lab in enumerate(self.labels):
-            if runs and runs[-1][2] == lab and runs[-1][1] == n - 1:
+            if runs and runs[-1][2] == lab:
                 runs[-1] = (runs[-1][0], n, lab)
+            elif len(runs) == limit:
+                break
             else:
                 runs.append((n, n, lab))
         return runs
@@ -208,30 +218,6 @@ def relations_from_intervals(
     return out
 
 
-class _UnionFind:
-    """Array union-find with path halving and union by size."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.size = [1] * size
-
-    def find(self, i: int) -> int:
-        parent = self.parent
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return
-        if self.size[ri] < self.size[rj]:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        self.size[ri] += self.size[rj]
-
-
 def _divisors(n: int) -> list[int]:
     out = set()
     for i in range(1, int(math.isqrt(n)) + 1):
@@ -254,6 +240,13 @@ def _stabilization_point(labels: Sequence[int], p: int, horizon: int) -> int:
 def partition(relations: Sequence[Relation], horizon: int) -> ClassPartition:
     """Close the relations over {0..horizon} and certify eventual periodicity.
 
+    Domains are clipped to the window [0, horizon - step] and merged per
+    step (overlapping and adjacent runs join), so a point takes one union
+    per distinct step however many relations of that step cover it. The
+    result is conditional when any relation that applies inside the
+    window is. Union-find links the larger root under the smaller, so
+    each root is its class's least member and doubles as the label.
+
     Candidate periods are divisors of the gcd of all steps, plus
     divisors of the gcd of steps whose domains reach the horizon (a
     bounded stray relation must not hide the periodicity the cofinal
@@ -273,31 +266,42 @@ def partition(relations: Sequence[Relation], horizon: int) -> ClassPartition:
             conditional=False,
         )
 
-    uf = _UnionFind(horizon + 1)
-    applied = False
-    conditional = False
+    domains_by_step: dict[int, list[IntInterval]] = {}
     for rel in relations:
         lo = max(rel.domain.lo, 0)
         hi = min(rel.domain.hi, horizon - rel.step)
-        if lo > hi:
-            continue
-        applied = True
-        conditional = conditional or rel.domain.conditional
-        for n in range(lo, hi + 1):
-            uf.union(n, n + rel.step)
-    if not applied:
+        if lo <= hi:
+            domains_by_step.setdefault(rel.step, []).append(
+                IntInterval(lo, hi, conditional=rel.domain.conditional)
+            )
+    if not domains_by_step:
         raise HorizonError(
             f"horizon {horizon} is too small to apply any of the {len(relations)} relation(s)"
         )
 
-    first_member: dict[int, int] = {}
-    labels = []
+    # parent[n] <= n always holds: the larger root is linked under the
+    # smaller and path halving only moves pointers further down, so every
+    # root is the least member of its class.
+    parent = list(range(horizon + 1))
+    conditional = False
+    for step, domains in domains_by_step.items():
+        for run in merge_intervals(domains):
+            conditional = conditional or run.conditional
+            for n in range(run.lo, run.hi + 1):
+                a, b = n, n + step
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                if a < b:
+                    parent[b] = a
+                elif b < a:
+                    parent[a] = b
+    # ascending: every m < n already holds its root and parent[n] <= n,
+    # so one hop gives n its root, the least member of its class
     for n in range(horizon + 1):
-        root = uf.find(n)
-        if root not in first_member:
-            first_member[root] = n
-        labels.append(first_member[root])
-    labels_t = tuple(labels)
+        parent[n] = parent[parent[n]]
+    labels_t = tuple(parent)
 
     g_all = math.gcd(*(rel.step for rel in relations))
     cofinal = [

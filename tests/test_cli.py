@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -308,6 +309,17 @@ class TestClassesCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "stitched from: d=1:12" in out
+
+    def test_conic_closure_is_not_quadratic(self, spec, capsys):
+        # one overlapping relation per fiber twist: a closure that unions
+        # every relation point by point needs minutes here
+        doc = {**CONIC_DOC, "points": [2, 3]}
+        start = perf_counter()
+        code = main(["classes", spec(doc), "--e-min", "2", "--horizon", "100000"])
+        elapsed = perf_counter() - start
+        assert code == 0
+        assert "classes: n0=15 period=1 certified=yes" in capsys.readouterr().out.splitlines()
+        assert elapsed < 10.0
 
     def test_growing_gaps_inapplicable(self, spec, capsys):
         doc = {"K_sq": 0, "h2": 0, "line_bundle": {"c1_sq": 6, "c1_dot_K": -2}}

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbstab import (
@@ -25,6 +25,7 @@ from hilbstab import (
     partition,
     relations_from_intervals,
 )
+from hilbstab.equivalence import _divisors, _stabilization_point
 
 
 class TestIndex:
@@ -140,6 +141,9 @@ class TestPartition:
         assert partition([sure], horizon=10).conditional is False
         hedged = Relation(1, IntInterval(0, 5, conditional=True))
         assert partition([hedged], horizon=10).conditional is True
+        # hedged relations that miss the window [0, horizon - step] do not count
+        missed = [Relation(1, IntInterval(10, 20)), Relation(3, IntInterval(-4, -1))]
+        assert partition([sure, *missed], horizon=10).conditional is False
 
     def test_certified_needs_two_periods(self):
         with pytest.raises(ValidationError):
@@ -150,6 +154,9 @@ class TestPartition:
     def test_label_runs_and_eventual(self):
         part = partition([Relation(1, IntInterval(3, 10))], horizon=10)
         assert part.label_runs() == [(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 10, 3)]
+        # a limit keeps the first runs whole; the last one shows whether more follow
+        assert part.label_runs(2) == [(0, 0, 0), (1, 1, 1)]
+        assert part.label_runs(4) == part.label_runs(9) == part.label_runs()
         assert part.eventual_labels() == (3,)
 
 
@@ -194,6 +201,151 @@ class TestPartitionProperties:
             assert horizon >= part.n0 + 2 * part.period
             for n in range(part.n0, horizon - part.period + 1):
                 assert part.labels[n] == part.labels[n + part.period]
+
+
+class _SizeUnionFind:
+    """Array union-find with path halving and union by size."""
+
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+        self.size = [1] * size
+
+    def find(self, i: int) -> int:
+        parent = self.parent
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(self, i: int, j: int) -> None:
+        ri, rj = self.find(i), self.find(j)
+        if ri == rj:
+            return
+        if self.size[ri] < self.size[rj]:
+            ri, rj = rj, ri
+        self.parent[rj] = ri
+        self.size[ri] += self.size[rj]
+
+
+def pointwise_partition(relations, horizon):
+    """The earlier partition(), kept verbatim as the oracle.
+
+    It runs one union per relation and point, links by size and labels
+    each class by its first member.
+    """
+    if horizon < 1:
+        raise ValidationError("horizon must be >= 1", path="horizon")
+    if not relations:
+        return ClassPartition(
+            horizon=horizon,
+            labels=tuple(range(horizon + 1)),
+            n0=0,
+            period=1,
+            certified=False,
+            conditional=False,
+        )
+
+    uf = _SizeUnionFind(horizon + 1)
+    applied = False
+    conditional = False
+    for rel in relations:
+        lo = max(rel.domain.lo, 0)
+        hi = min(rel.domain.hi, horizon - rel.step)
+        if lo > hi:
+            continue
+        applied = True
+        conditional = conditional or rel.domain.conditional
+        for n in range(lo, hi + 1):
+            uf.union(n, n + rel.step)
+    if not applied:
+        raise HorizonError(
+            f"horizon {horizon} is too small to apply any of the {len(relations)} relation(s)"
+        )
+
+    first_member: dict[int, int] = {}
+    labels = []
+    for n in range(horizon + 1):
+        root = uf.find(n)
+        if root not in first_member:
+            first_member[root] = n
+        labels.append(first_member[root])
+    labels_t = tuple(labels)
+
+    g_all = math.gcd(*(rel.step for rel in relations))
+    cofinal = [
+        rel.step
+        for rel in relations
+        if min(rel.domain.hi, horizon - rel.step) == horizon - rel.step
+        and max(rel.domain.lo, 0) <= horizon - rel.step
+    ]
+    candidates = set(_divisors(g_all))
+    if cofinal:
+        candidates.update(_divisors(math.gcd(*cofinal)))
+    for p in sorted(candidates):
+        n0 = _stabilization_point(labels_t, p, horizon)
+        if horizon >= n0 + 2 * p:
+            return ClassPartition(
+                horizon=horizon,
+                labels=labels_t,
+                n0=n0,
+                period=p,
+                certified=True,
+                conditional=conditional,
+            )
+    n0 = _stabilization_point(labels_t, g_all, horizon)
+    return ClassPartition(
+        horizon=horizon,
+        labels=labels_t,
+        n0=n0,
+        period=g_all,
+        certified=False,
+        conditional=conditional,
+    )
+
+
+@st.composite
+def clustered_relation_sets(draw):
+    """Several relations per step, as the conic pipeline emits them.
+
+    Consecutive domains of one step overlap, touch (hi + 1 == lo) or sit
+    one apart, and may stick out of the window [0, horizon - step] on
+    either side; further relations miss the window entirely. Conditional
+    flags are mixed throughout.
+    """
+    horizon = draw(st.integers(min_value=4, max_value=60))
+    rels = []
+    for step in draw(st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=3)):
+        lo = draw(st.integers(min_value=-6, max_value=horizon))
+        for _ in range(draw(st.integers(min_value=1, max_value=4))):
+            hi = lo + draw(st.integers(min_value=0, max_value=12))
+            rels.append(Relation(step, IntInterval(lo, hi, conditional=draw(st.booleans()))))
+            lo = hi + draw(st.integers(min_value=-3, max_value=2))
+    for step, above, flag in draw(
+        st.lists(st.tuples(st.integers(1, 8), st.booleans(), st.booleans()), max_size=2)
+    ):
+        if above:
+            outside = IntInterval(horizon - step + 1, horizon + 5, conditional=flag)
+        else:
+            outside = IntInterval(-5, -1, conditional=flag)
+        rels.append(Relation(step, outside))
+    return draw(st.permutations(rels)), horizon
+
+
+class TestPartitionOracle:
+    """partition() against the point-by-point closure it replaced."""
+
+    @settings(max_examples=300)
+    @given(clustered_relation_sets())
+    def test_matches_pointwise_closure(self, rels_horizon):
+        rels, horizon = rels_horizon
+        try:
+            expected = pointwise_partition(rels, horizon)
+        except HorizonError as exc:
+            with pytest.raises(HorizonError) as raised:
+                partition(rels, horizon)
+            assert str(raised.value) == str(exc)
+            return
+        assert partition(rels, horizon) == expected
 
 
 class TestIntervalClassPartition:
